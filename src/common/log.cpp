@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <deque>
 #include <mutex>
 
 namespace spice {
@@ -28,6 +29,49 @@ const char* level_name(LogLevel level) {
   return "?????";
 }
 
+/// Pool of thread ids. An exiting thread returns its id; ids are reused
+/// first-in first-out once more than kQuarantine are waiting, so the ids
+/// stay dense under thread churn while an exited thread's per-id state
+/// (e.g. its flight-recorder ring, with its last events) survives the
+/// next few thread exits.
+class ThreadIds {
+ public:
+  static constexpr std::size_t kQuarantine = 8;
+
+  std::uint32_t acquire() {
+    std::lock_guard lock(mutex_);
+    if (exited_.size() <= kQuarantine) return next_++;
+    const std::uint32_t id = exited_.front();
+    exited_.pop_front();
+    return id;
+  }
+  void release(std::uint32_t id) {
+    std::lock_guard lock(mutex_);
+    exited_.push_back(id);
+  }
+
+ private:
+  std::mutex mutex_;
+  std::uint32_t next_ = 0;
+  std::deque<std::uint32_t> exited_;
+};
+
+/// Never destroyed: threads may still exit while statics are torn down.
+ThreadIds& thread_ids() {
+  static ThreadIds* const ids = new ThreadIds;
+  return *ids;
+}
+
+/// Holds the calling thread's id and hands it back when the thread's
+/// thread-local storage is destroyed.
+struct ThreadSlot {
+  ThreadSlot() : id(thread_ids().acquire()) {}
+  ~ThreadSlot() { thread_ids().release(id); }
+  ThreadSlot(const ThreadSlot&) = delete;
+  ThreadSlot& operator=(const ThreadSlot&) = delete;
+  const std::uint32_t id;
+};
+
 std::chrono::steady_clock::time_point process_anchor() {
   static const std::chrono::steady_clock::time_point anchor =
       std::chrono::steady_clock::now();
@@ -45,9 +89,8 @@ double uptime_seconds() {
 }
 
 std::uint32_t thread_index() {
-  static std::atomic<std::uint32_t> next{0};
-  thread_local const std::uint32_t index = next.fetch_add(1, std::memory_order_relaxed);
-  return index;
+  thread_local const ThreadSlot slot;
+  return slot.id;
 }
 
 void set_log_sink(LogSink sink) { g_sink.store(sink, std::memory_order_release); }

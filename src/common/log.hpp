@@ -28,8 +28,12 @@ void log_message(LogLevel level, const std::string& message);
 [[nodiscard]] double uptime_seconds();
 
 /// Dense small id for the calling thread (0 = first thread to ask, which
-/// in practice is main). Used for log prefixes, trace tracks and counter
-/// shard selection.
+/// in practice is main). Used for log prefixes, trace tracks, counter
+/// shard selection and flight-recorder rings. No two live threads share
+/// an id; an exited thread's id is reused by a later thread once more
+/// than eight exited ids are waiting, so short-lived threads do not
+/// exhaust per-id tables. Code that runs in a thread-local destructor
+/// must not rely on the id.
 [[nodiscard]] std::uint32_t thread_index();
 
 /// Secondary log consumer, invoked (outside the stderr mutex) for every

@@ -56,6 +56,10 @@ void BinaryReader::need(std::size_t n) {
   if (remaining() < n) throw Error("BinaryReader: truncated input");
 }
 
+void BinaryReader::need_elements(std::uint64_t n, std::size_t size) {
+  if (n > remaining() / size) throw Error("BinaryReader: length word exceeds the input");
+}
+
 std::uint8_t BinaryReader::read_u8() {
   need(1);
   return bytes_[pos_++];
@@ -103,7 +107,7 @@ Vec3 BinaryReader::read_vec3() {
 
 std::vector<double> BinaryReader::read_f64_vector() {
   const std::uint64_t n = read_u64();
-  need(n * 8);
+  need_elements(n, 8);
   std::vector<double> xs(n);
   for (auto& x : xs) x = read_f64();
   return xs;
@@ -111,7 +115,7 @@ std::vector<double> BinaryReader::read_f64_vector() {
 
 std::vector<Vec3> BinaryReader::read_vec3_vector() {
   const std::uint64_t n = read_u64();
-  need(n * 24);
+  need_elements(n, 24);
   std::vector<Vec3> xs(n);
   for (auto& v : xs) v = read_vec3();
   return xs;

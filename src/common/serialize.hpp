@@ -33,7 +33,8 @@ class BinaryWriter {
 };
 
 /// Reader over an externally owned byte buffer. Throws spice::Error on
-/// truncated input.
+/// truncated input, including a length word that promises more elements
+/// than the remaining bytes can hold.
 class BinaryReader {
  public:
   explicit BinaryReader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
@@ -53,6 +54,9 @@ class BinaryReader {
 
  private:
   void need(std::size_t n);
+  /// Check a length word of `n` elements of `size` bytes each without
+  /// forming n × size, which a corrupt word would wrap.
+  void need_elements(std::uint64_t n, std::size_t size);
 
   std::span<const std::uint8_t> bytes_;
   std::size_t pos_ = 0;

@@ -18,6 +18,8 @@ Site& Federation::add_site(const SiteSpec& spec) {
   SPICE_REQUIRE(find(spec.name) == nullptr, "duplicate site name: " + spec.name);
   sites_.push_back(std::make_unique<Site>(spec, events_, table_));
   Site& site = *sites_.back();
+  SPICE_ENSURE(site.site_id() == static_cast<SiteId>(sites_.size() - 1),
+               "site ids must follow add order");
   site.set_trace_sampling(trace_sample_);
   site.set_row_completion_handler([this](JobRow row) {
     // Materialize the compatibility view only when someone wants it, and
@@ -80,6 +82,72 @@ void Federation::remove_recovery_listener(ListenerId id) {
 void Federation::set_trace_job_sampling(std::uint32_t n) {
   trace_sample_ = n == 0 ? 1 : n;
   for (const auto& s : sites_) s->set_trace_sampling(trace_sample_);
+}
+
+SiteId choose_site(std::span<const SiteLoad> board, BrokerPolicy policy, SiteRequest request,
+                   std::size_t& cursor) {
+  const auto n = static_cast<SiteId>(board.size());
+  switch (policy) {
+    case BrokerPolicy::SingleSite:
+      for (SiteId id = 0; id < n; ++id) {
+        if (site_accepts(board[id], id, request)) return id;
+      }
+      return kNoSite;
+    case BrokerPolicy::RoundRobin:
+      // Rotate over the FULL board, skipping ineligible entries, so an
+      // outage or per-retry exclusion does not shift the rotation phase of
+      // every later dispatch.
+      for (SiteId k = 0; k < n; ++k) {
+        const auto id = static_cast<SiteId>((cursor + k) % board.size());
+        if (!site_accepts(board[id], id, request)) continue;
+        cursor = (cursor + k + 1) % board.size();
+        return id;
+      }
+      return kNoSite;
+    case BrokerPolicy::LeastBacklog:
+      break;
+  }
+  // Queued work per processor, scaled by speed so faster machines look
+  // cheaper for the same backlog. The exact load of a site is
+  //   (held / P + work / P) / S,
+  // three divisions. The key (held + work) · 1/(P·S) is the same real
+  // number, and for held ≥ 0 the two computed values differ by less than
+  // 7.1 u of it, u = 2⁻⁵³ (DESIGN.md §10.1). So a site whose key, shrunk
+  // by 16 u and less the smallest normal double (for underflow), still
+  // exceeds the best exact load so far is provably not strictly better,
+  // and only the survivors pay for the exact expression. A site whose
+  // queued-work accumulator has drifted below zero (held < 0) bypasses
+  // the pre-filter and is evaluated exactly. The choice, first minimum
+  // included, is therefore bit-identical to evaluating every site
+  // exactly. The two skips commute: a site is chosen only if it passes
+  // both.
+  constexpr double kShrink = 1.0 - 0x1.0p-49;
+  constexpr double kFloor = std::numeric_limits<double>::min();
+  const double work = request.runtime_hours * request.processors;
+  SiteId best = kNoSite;
+  double best_load = std::numeric_limits<double>::infinity();
+  for (SiteId id = 0; id < n; ++id) {
+    const SiteLoad& s = board[id];
+    const double held = s.held_work(request.now);
+    if (held >= 0.0 && (held + work) * s.inv_capacity * kShrink - kFloor > best_load) continue;
+    if (!site_accepts(s, id, request)) continue;
+    const double load = (held / s.processors + work / s.processors) / s.speed;
+    if (load < best_load) {
+      best_load = load;
+      best = id;
+    }
+  }
+  return best;
+}
+
+bool feasible_somewhere(std::span<const SiteLoad> board, SiteRequest request) {
+  request.exclude = kNoSite;
+  // No site is in outage at t = ∞ (now < outage_until never holds).
+  request.now = std::numeric_limits<double>::infinity();
+  for (SiteId id = 0; id < static_cast<SiteId>(board.size()); ++id) {
+    if (site_accepts(board[id], id, request)) return true;
+  }
+  return false;
 }
 
 double RetryPolicy::delay_hours(JobId job, int attempt) const {
@@ -153,11 +221,15 @@ void Broker::submit_all() {
     round_robin_next_ =
         config_.oracle->choose("broker.rr_offset", federation_.sites().size());
   }
+  JobTable& table = federation_.jobs();
+  if (!config_.restrict_grid.empty()) grid_filter_ = table.find_grid(config_.restrict_grid);
+  if (config_.policy == BrokerPolicy::SingleSite) {
+    only_site_ = table.find_site(config_.single_site);
+  }
   const std::size_t n = config_.jobs.empty() ? config_.job_count : config_.jobs.size();
   result_.requested = n;
   result_.completion_floor = config_.completion_floor;
   outstanding_ = n;
-  JobTable& table = federation_.jobs();
   for (std::size_t i = 0; i < n; ++i) {
     Job job = config_.jobs.empty() ? config_.job_factory(i) : config_.jobs[i];
     job.kind = JobKind::Campaign;
@@ -168,68 +240,14 @@ void Broker::submit_all() {
   }
 }
 
-Site* Broker::choose_site(JobRow row, SiteId exclude) {
-  JobTable& table = federation_.jobs();
-  const int procs = table.processors(row);
-  usable_.clear();
-  for (const auto& s : federation_.sites()) {
-    if (s->site_id() == exclude) continue;
-    if (s->in_outage()) continue;
-    if (!s->spec().grid_enabled) continue;
-    if (procs > s->spec().processors) continue;
-    if (!config_.restrict_grid.empty() && s->spec().grid != config_.restrict_grid) continue;
-    if (config_.policy == BrokerPolicy::SingleSite && s->name() != config_.single_site) continue;
-    usable_.push_back(s.get());
-  }
-  if (usable_.empty()) return nullptr;
-  switch (config_.policy) {
-    case BrokerPolicy::SingleSite:
-      return usable_.front();
-    case BrokerPolicy::RoundRobin: {
-      // Rotate over the FULL federation site list, skipping unusable
-      // entries, so an outage or per-retry exclusion does not shift the
-      // rotation phase of every later dispatch.
-      const auto& all = federation_.sites();
-      for (std::size_t k = 0; k < all.size(); ++k) {
-        Site* candidate = all[(round_robin_next_ + k) % all.size()].get();
-        if (std::find(usable_.begin(), usable_.end(), candidate) == usable_.end()) continue;
-        round_robin_next_ = (round_robin_next_ + k + 1) % all.size();
-        return candidate;
-      }
-      return usable_.front();  // unreachable: usable ⊆ all
-    }
-    case BrokerPolicy::LeastBacklog: {
-      Site* best = nullptr;
-      double best_load = std::numeric_limits<double>::infinity();
-      const double runtime = table.runtime_hours(row);
-      for (Site* s : usable_) {
-        // Queued work per processor, scaled by speed so faster machines
-        // look cheaper for the same backlog.
-        const double load =
-            (s->backlog_hours() + runtime * procs / s->spec().processors) /
-            s->spec().speed;
-        if (load < best_load) {
-          best_load = load;
-          best = s;
-        }
-      }
-      return best;
-    }
-  }
-  return usable_.front();
-}
-
-bool Broker::feasible_somewhere(JobRow row) const {
-  const int procs = federation_.jobs().processors(row);
-  for (const auto& s : federation_.sites()) {
-    if (!s->spec().grid_enabled) continue;
-    if (procs > s->spec().processors) continue;
-    if (!config_.restrict_grid.empty() && s->spec().grid != config_.restrict_grid) continue;
-    if (config_.policy == BrokerPolicy::SingleSite && s->name() != config_.single_site)
-      continue;
-    return true;
-  }
-  return false;
+SiteRequest Broker::request_for(JobRow row, SiteId exclude) const {
+  const JobTable& table = federation_.jobs();
+  return SiteRequest{.processors = table.processors(row),
+                     .runtime_hours = table.runtime_hours(row),
+                     .now = federation_.events().now(),
+                     .exclude = exclude,
+                     .grid = grid_filter_,
+                     .only = only_site_};
 }
 
 void Broker::dispatch(JobRow row, SiteId exclude) {
@@ -237,18 +255,21 @@ void Broker::dispatch(JobRow row, SiteId exclude) {
     static obs::Counter& dispatches = obs::metrics().counter("grid.broker.dispatches");
     dispatches.add(1);
   }
-  Site* site = choose_site(row, exclude);
-  if (site == nullptr) {
+  const SiteRequest request = request_for(row, exclude);
+  const std::span<const SiteLoad> board = federation_.jobs().site_loads();
+  const SiteId chosen = choose_site(board, config_.policy, request, round_robin_next_);
+  if (chosen == kNoSite) {
     // No site can take it RIGHT NOW. If some site could ever run it, park
     // it in the held queue instead of losing it (every site momentarily in
     // outage is the situation SPICE's production runs had to survive).
-    if (feasible_somewhere(row)) {
+    if (feasible_somewhere(board, request)) {
       hold(row);
     } else {
       fail_permanently(row, /*release_row=*/true);
     }
     return;
   }
+  Site* site = federation_.sites()[static_cast<std::size_t>(chosen)].get();
   if (federation_.jobs().completed_fraction(row) > 0.0) result_.checkpoint_restarts += 1;
   if (traced(row)) {
     federation_.events().tracer()->instant(

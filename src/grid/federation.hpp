@@ -18,6 +18,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -40,6 +41,7 @@ class Federation {
   Site& add_site(const SiteSpec& spec);
 
   [[nodiscard]] Site* find(const std::string& name);
+  /// Sites in add order; a site's index here is its SiteId.
   [[nodiscard]] const std::vector<std::unique_ptr<Site>>& sites() const { return sites_; }
   [[nodiscard]] std::vector<Site*> sites_in_grid(const std::string& grid);
   [[nodiscard]] EventQueue& events() { return events_; }
@@ -84,6 +86,44 @@ enum class BrokerPolicy {
   RoundRobin,    ///< cycle over usable sites
   SingleSite,    ///< everything to one named site (the no-grid baseline)
 };
+
+/// Wildcards for SiteRequest's grid and site filters.
+inline constexpr GridId kAnyGrid = -2;
+inline constexpr SiteId kAnySite = -2;
+
+/// One placement question asked of the site-load board.
+struct SiteRequest {
+  int processors = 1;
+  double runtime_hours = 0.0;  ///< reference hours (LeastBacklog's job term)
+  double now = 0.0;
+  SiteId exclude = kNoSite;  ///< the site that just failed this job
+  GridId grid = kAnyGrid;    ///< restrict_grid, interned
+  SiteId only = kAnySite;    ///< SingleSite's site (kNoSite: name unknown)
+};
+
+/// The one eligibility predicate: can site `id` take `request` now?
+[[nodiscard]] inline bool site_accepts(const SiteLoad& site, SiteId id,
+                                       const SiteRequest& request) {
+  return id != request.exclude && !site.in_outage(request.now) && site.grid_enabled &&
+         request.processors <= site.processors &&
+         (request.grid == kAnyGrid || site.grid == request.grid) &&
+         (request.only == kAnySite || id == request.only);
+}
+
+/// Pick the site for `request` under `policy`, or kNoSite when none is
+/// eligible. One pass over the board for every policy:
+///   * SingleSite: the first (only) eligible site;
+///   * RoundRobin: the first eligible site at or after `cursor` in board
+///     order, wrapping; `cursor` then moves past it (unchanged on kNoSite);
+///   * LeastBacklog: the first site with the least
+///     (backlog_hours + runtime × procs / P) / speed, with a division-free
+///     pre-filter that skips only sites provably not better (DESIGN.md §10.1).
+[[nodiscard]] SiteId choose_site(std::span<const SiteLoad> board, BrokerPolicy policy,
+                                 SiteRequest request, std::size_t& cursor);
+
+/// Could any site EVER take the request (outages and the exclusion
+/// ignored)?
+[[nodiscard]] bool feasible_somewhere(std::span<const SiteLoad> board, SiteRequest request);
 
 /// Re-dispatch timing after failures and held-queue parks: exponential
 /// backoff with deterministic per-(job, attempt) jitter, so reruns with the
@@ -211,9 +251,7 @@ class Broker {
   [[nodiscard]] std::size_t round_robin_cursor() const { return round_robin_next_; }
 
  private:
-  [[nodiscard]] Site* choose_site(JobRow row, SiteId exclude);
-  /// Could any site EVER run this job (ignoring outages/exclusions)?
-  [[nodiscard]] bool feasible_somewhere(JobRow row) const;
+  [[nodiscard]] SiteRequest request_for(JobRow row, SiteId exclude) const;
   void dispatch(JobRow row, SiteId exclude);
   /// Park a job that currently has no usable site; it is re-dispatched on
   /// the next site recovery or its own backoff timer, whichever first
@@ -235,7 +273,10 @@ class Broker {
   CampaignConfig config_;
   CampaignResult result_;
   StreamingCampaignMetrics stream_;
-  std::vector<Site*> usable_;       ///< choose_site scratch (no per-dispatch alloc)
+  /// Resolved once at submit_all: restrict_grid's GridId and SingleSite's
+  /// SiteId.
+  GridId grid_filter_ = kAnyGrid;
+  SiteId only_site_ = kAnySite;
   std::vector<JobRow> held_batch_;  ///< release_held scratch
   std::size_t outstanding_ = 0;
   std::size_t round_robin_next_ = 0;

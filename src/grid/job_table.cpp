@@ -153,6 +153,7 @@ SiteId JobTable::register_site(const std::string& name) {
   const SiteId existing = find_site(name);
   if (existing != kNoSite) return existing;
   site_names_.push_back(name);
+  site_loads_.emplace_back();
   return static_cast<SiteId>(site_names_.size() - 1);
 }
 
@@ -161,6 +162,18 @@ SiteId JobTable::find_site(const std::string& name) const {
     if (site_names_[i] == name) return static_cast<SiteId>(i);
   }
   return kNoSite;
+}
+
+GridId JobTable::register_grid(const std::string& name) {
+  const GridId existing = find_grid(name);
+  if (existing != kNoGrid) return existing;
+  grid_names_.push_back(name);
+  return static_cast<GridId>(grid_names_.size() - 1);
+}
+
+GridId JobTable::find_grid(const std::string& name) const {
+  const auto it = std::find(grid_names_.begin(), grid_names_.end(), name);
+  return it == grid_names_.end() ? kNoGrid : static_cast<GridId>(it - grid_names_.begin());
 }
 
 std::string JobTable::display_name(JobRow row) const {

@@ -11,7 +11,9 @@
 // materialized from a row on demand for completion listeners, finished-job
 // records and tests. Hot paths never touch it.
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -28,6 +30,46 @@ inline constexpr JobRow kNoRow = 0xffffffffu;
 /// a job is not placed anywhere.
 using SiteId = std::int32_t;
 inline constexpr SiteId kNoSite = -1;
+
+/// Interned grid name ("TeraGrid", "NGS", ...; JobTable::register_grid).
+using GridId = std::int32_t;
+inline constexpr GridId kNoGrid = -1;
+
+/// One site's scheduling state: everything a broker reads about a site on
+/// each dispatch. JobTable keeps these records contiguously by SiteId (the
+/// site-load board), so a LeastBacklog scan over a 1000-site federation
+/// walks one ~56 KB array instead of 1000 heap-scattered Site objects. The
+/// owning Site writes its record in place; there is no other copy of the
+/// mutable fields.
+struct SiteLoad {
+  /// Σ procs × remaining / speed over the site's queue (reference
+  /// processor-hours). Maintained incrementally, so it may drift a few ulps
+  /// below zero once the queue empties.
+  double queued_work = 0.0;
+  /// Σ procs × end_time over the running set; Σ procs × (end − now) falls
+  /// out as running_end_work − now × running_procs. Both reset to exactly
+  /// zero whenever the running set empties, so FP drift cannot accumulate.
+  double running_end_work = 0.0;
+  double outage_until = -1.0;  ///< hours; the site is down while now < this
+  /// Fixed when the site is built, as are inv_capacity, processors, grid
+  /// and grid_enabled.
+  double speed = 1.0;
+  double inv_capacity = 0.0;  ///< 1 / (processors × speed), the pre-filter scale
+  int processors = 0;         ///< 0 = name registered, no site built yet
+  int running_procs = 0;      ///< Σ procs over the running set
+  GridId grid = kNoGrid;
+  bool grid_enabled = true;
+
+  [[nodiscard]] bool in_outage(double now) const { return now < outage_until; }
+  /// Queued plus still-running work. Running jobs always satisfy
+  /// end ≥ now (their finish event has not fired), so the per-job
+  /// max(0, end − now) of the naive sum is implied.
+  [[nodiscard]] double held_work(double now) const {
+    return queued_work + std::max(0.0, running_end_work - now * running_procs);
+  }
+  /// Estimated hours of queued work per processor (the load signal).
+  [[nodiscard]] double backlog_hours(double now) const { return held_work(now) / processors; }
+};
 
 /// Row lifecycle. Pending/Queued/Running/Completed/Failed mirror JobState;
 /// Held (parked by the broker, no usable site) and Backoff (waiting out a
@@ -102,10 +144,20 @@ class JobTable {
     return count_[static_cast<std::size_t>(s)];
   }
 
-  /// Intern a site name; idempotent per name.
+  /// Intern a site name; idempotent per name. A new name also gets a
+  /// blank record on the site-load board.
   SiteId register_site(const std::string& name);
   [[nodiscard]] SiteId find_site(const std::string& name) const;
   [[nodiscard]] const std::string& site_name(SiteId id) const { return site_names_[id]; }
+
+  /// The site-load board, one record per registered site, by SiteId.
+  [[nodiscard]] std::span<const SiteLoad> site_loads() const { return site_loads_; }
+  [[nodiscard]] SiteLoad& site_load(SiteId id) { return site_loads_[id]; }
+  [[nodiscard]] const SiteLoad& site_load(SiteId id) const { return site_loads_[id]; }
+
+  /// Intern a grid name; idempotent per name.
+  GridId register_grid(const std::string& name);
+  [[nodiscard]] GridId find_grid(const std::string& name) const;
 
   /// Job name for display/traces ("job<id>" for unnamed rows).
   [[nodiscard]] std::string display_name(JobRow row) const;
@@ -167,6 +219,8 @@ class JobTable {
   std::vector<std::string> names_;        ///< recycled job-name pool
   std::vector<std::int32_t> free_names_;
   std::vector<std::string> site_names_;
+  std::vector<SiteLoad> site_loads_;  ///< parallel to site_names_
+  std::vector<std::string> grid_names_;
 
   std::size_t live_ = 0;
   std::size_t peak_ = 0;

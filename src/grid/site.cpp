@@ -33,8 +33,7 @@ Site::Site(SiteSpec spec, EventQueue& events)
       table_(owned_table_.get()),
       id_(table_->register_site(spec_.name)),
       free_procs_(spec_.processors) {
-  SPICE_REQUIRE(spec_.processors > 0, "site needs processors");
-  SPICE_REQUIRE(spec_.speed > 0.0, "site speed must be positive");
+  claim_load_record();
 }
 
 Site::Site(SiteSpec spec, EventQueue& events, JobTable& table)
@@ -43,11 +42,22 @@ Site::Site(SiteSpec spec, EventQueue& events, JobTable& table)
       table_(&table),
       id_(table_->register_site(spec_.name)),
       free_procs_(spec_.processors) {
-  SPICE_REQUIRE(spec_.processors > 0, "site needs processors");
-  SPICE_REQUIRE(spec_.speed > 0.0, "site speed must be positive");
+  claim_load_record();
 }
 
-bool Site::in_outage() const { return events_.now() < outage_until_; }
+void Site::claim_load_record() {
+  SPICE_REQUIRE(spec_.processors > 0, "site needs processors");
+  SPICE_REQUIRE(spec_.speed > 0.0, "site speed must be positive");
+  SiteLoad& record = load_record();
+  SPICE_REQUIRE(record.processors == 0, "another site already owns the name " + spec_.name);
+  record.processors = spec_.processors;
+  record.speed = spec_.speed;
+  record.inv_capacity = 1.0 / (spec_.processors * spec_.speed);
+  record.grid = table_->register_grid(spec_.grid);
+  record.grid_enabled = spec_.grid_enabled;
+}
+
+bool Site::in_outage() const { return load().in_outage(events_.now()); }
 
 int Site::max_reserved_overlap(double t0, double t1) const {
   // Small reservation counts: evaluate at every reservation boundary
@@ -103,12 +113,7 @@ double Site::queued_work_of(JobRow row) const {
   return table_->processors(row) * table_->remaining_hours(row) / spec_.speed;
 }
 
-double Site::backlog_hours() const {
-  // Running jobs always satisfy end_time ≥ now (their finish event has not
-  // fired), so the per-job max(0, end − now) of the naive sum is implied.
-  const double running_work = running_end_work_ - events_.now() * running_procs_;
-  return (queued_work_ + std::max(0.0, running_work)) / spec_.processors;
-}
+double Site::backlog_hours() const { return load().backlog_hours(events_.now()); }
 
 void Site::submit(Job job) {
   submit_row(table_->insert(job));
@@ -129,7 +134,7 @@ void Site::submit_row(JobRow row) {
   table_->submit_time(row) = events_.now();
   table_->site(row) = id_;
   queue_.push_back(row);
-  queued_work_ += queued_work_of(row);
+  load_record().queued_work += queued_work_of(row);
   dispatch();
 }
 
@@ -172,8 +177,9 @@ void Site::start_row(JobRow row) {
   const double end = events_.now() + duration;
   table_->running_index(row) = static_cast<std::uint32_t>(running_.size());
   running_.push_back(Running{row, end});
-  running_end_work_ += procs * end;
-  running_procs_ += procs;
+  SiteLoad& record = load_record();
+  record.running_end_work += procs * end;
+  record.running_procs += procs;
   table_->event_token(row) = events_.at(end, [this, row] { finish_row(row); });
 }
 
@@ -197,8 +203,10 @@ void Site::finish_row(JobRow row) {
 
   const int procs = table_->processors(row);
   free_procs_ += procs;
-  running_procs_ -= procs;
-  running_end_work_ = running_.empty() ? 0.0 : running_end_work_ - procs * ended_at;
+  SiteLoad& record = load_record();
+  record.running_procs -= procs;
+  record.running_end_work =
+      running_.empty() ? 0.0 : record.running_end_work - procs * ended_at;
   table_->set_state(row, RowState::Completed);
   table_->end_time(row) = events_.now();
   const double wall = events_.now() - table_->start_time(row);
@@ -230,7 +238,7 @@ void Site::dispatch() {
     const double duration = table_->remaining_hours(head) / spec_.speed;
     if (!fits_now(table_->processors(head), duration)) break;
     queue_.pop_front();
-    queued_work_ -= queued_work_of(head);
+    load_record().queued_work -= queued_work_of(head);
     start_row(head);
   }
   if (queue_.empty()) return;
@@ -244,7 +252,7 @@ void Site::dispatch() {
     if (fits_now(table_->processors(row), duration) &&
         events_.now() + duration <= shadow) {
       it = queue_.erase(it);
-      queued_work_ -= queued_work_of(row);
+      load_record().queued_work -= queued_work_of(row);
       start_row(row);
     } else {
       ++it;
@@ -291,7 +299,7 @@ void Site::complete_row(JobRow row) {
 
 void Site::fail_until(double until) {
   SPICE_REQUIRE(until > events_.now(), "outage must end in the future");
-  outage_until_ = std::max(outage_until_, until);
+  load_record().outage_until = std::max(load().outage_until, until);
   {
     static obs::Counter& outages = obs::metrics().counter("grid.site.outages");
     outages.add(1);
@@ -308,8 +316,8 @@ void Site::fail_until(double until) {
   // fires for a killed attempt.
   std::vector<Running> dead;
   dead.swap(running_);
-  running_end_work_ = 0.0;
-  running_procs_ = 0;
+  load_record().running_end_work = 0.0;
+  load_record().running_procs = 0;
   for (const auto& r : dead) {
     // Mutation mode leaves the killed attempt's finish event armed (the
     // pre-PR-2 behavior); the finish_row state guard is then the only
@@ -337,7 +345,7 @@ void Site::fail_until(double until) {
   // Kill queued jobs (no CPU burned, nothing credited or wasted).
   std::deque<JobRow> queued;
   queued.swap(queue_);
-  queued_work_ = 0.0;
+  load_record().queued_work = 0.0;
   for (const JobRow row : queued) {
     fail_row(row, "site outage");
     complete_row(row);
@@ -358,9 +366,9 @@ std::uint64_t Site::fingerprint() const {
   const auto mix_double = [&mix](double v) { mix(std::bit_cast<std::uint64_t>(v)); };
   mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(id_)));
   mix(static_cast<std::uint64_t>(free_procs_));
-  mix_double(outage_until_);
+  mix_double(load().outage_until);
   mix_double(busy_proc_hours_);
-  mix_double(queued_work_);
+  mix_double(load().queued_work);
   mix(queue_.size());
   for (const JobRow row : queue_) mix(table_->id(row));
   // Running-set membership sorted by job id: the running_ vector's order

@@ -9,6 +9,9 @@
 // backfilling never delays the head job.
 //
 // Jobs live as JobTable rows; the queue and running set hold row indices.
+// The state a broker reads on every dispatch (capacity, outage window,
+// queued and running work) lives in the site's SiteLoad record on the
+// table's site-load board, not in the Site object.
 // Finish events are cancellable: an outage cancels the pending finish of
 // every killed job outright (no stale fired-and-ignored events), and the
 // legacy run-token machinery is gone. The Job-struct entry points
@@ -105,8 +108,8 @@ class Site {
   /// Busy processor-hours accumulated by finished jobs.
   [[nodiscard]] double busy_proc_hours() const { return busy_proc_hours_; }
   /// Estimated hours of queued work per processor (broker load signal).
-  /// O(1): both queued and running work are tracked incrementally, so a
-  /// LeastBacklog scan over a 1000-site federation costs O(sites) flat.
+  /// O(1): both queued and running work are tracked incrementally in this
+  /// site's record on the site-load board (SiteLoad).
   [[nodiscard]] double backlog_hours() const;
   [[nodiscard]] const std::vector<Reservation>& reservations() const { return reservations_; }
 
@@ -151,6 +154,12 @@ class Site {
   /// This site's track on the event queue's virtual-clock tracer (lazily
   /// allocated and named after the site); 0 when no tracer is attached.
   [[nodiscard]] std::uint32_t trace_track();
+  /// Validate the spec and fill the fixed fields of this site's record.
+  void claim_load_record();
+  /// This site's record on the table's site-load board; the site is its
+  /// only writer.
+  [[nodiscard]] const SiteLoad& load() const { return table_->site_load(id_); }
+  [[nodiscard]] SiteLoad& load_record() { return table_->site_load(id_); }
 
   SiteSpec spec_;
   EventQueue& events_;
@@ -164,17 +173,8 @@ class Site {
   std::deque<JobRow> queue_;
   std::vector<Running> running_;
   std::vector<Reservation> reservations_;
-  double outage_until_ = -1.0;
   bool inject_stale_finish_bug_ = false;
   double busy_proc_hours_ = 0.0;
-  double queued_work_ = 0.0;  ///< Σ queued_work_of(row) over queue_
-  /// Running-work accumulators for the O(1) backlog: Σ procs × end_time
-  /// and Σ procs over running_. Σ procs × (end − now) falls out as
-  /// running_end_work_ − now × running_procs_; both reset to exactly zero
-  /// whenever running_ empties, so FP drift cannot accumulate across the
-  /// campaign.
-  double running_end_work_ = 0.0;
-  int running_procs_ = 0;
   std::uint32_t trace_sample_ = 1;
   std::uint32_t trace_track_ = 0;
 };

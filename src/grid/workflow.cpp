@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 
 #include "common/error.hpp"
 
@@ -59,29 +60,32 @@ void WorkflowEngine::try_dispatch() {
     }
     if (!ready) continue;
 
-    // Pick the least-loaded usable site (same heuristic as the broker).
-    Site* best = nullptr;
+    // Pick the least-loaded usable site from the broker's site-load board
+    // (no job-size term, unlike the broker's LeastBacklog).
+    const std::span<const SiteLoad> board = federation_.jobs().site_loads();
+    const SiteRequest request{.processors = nodes_[id].job.processors,
+                              .now = federation_.events().now()};
+    SiteId best = kNoSite;
     double best_load = std::numeric_limits<double>::infinity();
-    for (const auto& site : federation_.sites()) {
-      if (site->in_outage() || !site->spec().grid_enabled) continue;
-      if (nodes_[id].job.processors > site->spec().processors) continue;
+    for (SiteId s = 0; s < static_cast<SiteId>(board.size()); ++s) {
+      if (!site_accepts(board[s], s, request)) continue;
       if (policy_ == BrokerPolicy::SingleSite) {
-        best = site.get();
+        best = s;
         break;
       }
-      const double load = site->backlog_hours() / site->spec().speed;
+      const double load = board[s].backlog_hours(request.now) / board[s].speed;
       if (load < best_load) {
         best_load = load;
-        best = site.get();
+        best = s;
       }
     }
-    if (best == nullptr) {
+    if (best == kNoSite) {
       states_[id] = NodeState::Failed;
       fail_dependents(id);
       continue;
     }
     states_[id] = NodeState::Submitted;
-    best->submit(nodes_[id].job);
+    federation_.sites()[static_cast<std::size_t>(best)]->submit(nodes_[id].job);
   }
 }
 

@@ -266,7 +266,6 @@ void SnapshotExporter::export_snapshot(const MetricsSnapshot& snapshot) {
   }
   last_ = snapshot;
   ++seq_;
-  registry_.counter("obs.export.snapshots").add(1);
   {
     std::lock_guard lock(mutex_);
     ++exports_;
@@ -274,6 +273,9 @@ void SnapshotExporter::export_snapshot(const MetricsSnapshot& snapshot) {
 }
 
 void SnapshotExporter::take_and_export_self_sample() {
+  // Counted before it is sampled, so the record carries its own count and
+  // the series' counter deltas sum to the registry, this counter included.
+  registry_.counter("obs.export.snapshots").add(1);
   update_self_metrics(registry_);
   export_snapshot(registry_.snapshot());
 }
@@ -299,6 +301,9 @@ void SnapshotExporter::thread_main() {
       MetricsSnapshot snapshot = std::move(queue_.front());
       queue_.pop_front();
       lock.unlock();
+      // A published snapshot was sampled by its caller; the next
+      // self-sample carries this count.
+      registry_.counter("obs.export.snapshots").add(1);
       export_snapshot(snapshot);
       lock.lock();
     }

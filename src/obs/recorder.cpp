@@ -39,8 +39,9 @@ FlightRecorder::Ring* FlightRecorder::ring_for_thread() {
   if (index >= kMaxThreads) return nullptr;
   Ring* ring = rings_[index].load(std::memory_order_acquire);
   if (ring != nullptr) return ring;
-  // First event from this thread: allocate its ring. The CAS loser (only
-  // possible if thread ids were ever reused concurrently, which
+  // First event from this id: allocate its ring. A thread that inherits
+  // an exited thread's id writes on into that thread's ring. The CAS loser
+  // (only possible if one id were live in two threads at once, which
   // thread_index() precludes) frees its attempt.
   auto fresh = std::make_unique<Ring>();
   fresh->words = std::make_unique<std::atomic<std::uint64_t>[]>(capacity_ * kWordsPerEvent);

@@ -17,7 +17,9 @@
 //     store the pointer, not the characters. This is what keeps an event
 //     at 32 bytes and the write at a handful of stores.
 //   * One writer per ring: rings are keyed by thread_index() (dense ids
-//     from common/log). drain() from any thread is safe against
+//     from common/log). An exited thread's id, and with it its ring,
+//     passes to a later thread, so thread churn reuses rings instead of
+//     leaking one per thread. drain() from any thread is safe against
 //     concurrent writers — slots that may have been overwritten during
 //     the copy are discarded, never returned torn.
 //   * Recording only reads the clock and writes the ring — simulation

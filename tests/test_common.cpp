@@ -362,6 +362,30 @@ TEST(Serialize, TruncatedInputThrows) {
   EXPECT_THROW(r.read_u64(), Error);
 }
 
+// A corrupt length word whose byte count wraps past 2^64 (2^61 × 8 = 0,
+// (⌊2^64 / 24⌋ + 1) × 24 = 8) must be rejected, not allocated.
+TEST(Serialize, WrappingLengthWordsThrow) {
+  const auto corrupt = [](std::uint64_t n) {
+    BinaryWriter w;
+    w.write_u64(n);
+    for (int i = 0; i < 4; ++i) w.write_f64(1.0);
+    return w.bytes();
+  };
+  const auto f64s = corrupt(std::uint64_t{1} << 61);
+  BinaryReader r1(f64s);
+  EXPECT_THROW((void)r1.read_f64_vector(), Error);
+  const auto vec3s = corrupt(~std::uint64_t{0} / 24 + 1);
+  BinaryReader r2(vec3s);
+  EXPECT_THROW((void)r2.read_vec3_vector(), Error);
+  // One element too many for the bytes present is rejected too.
+  const auto short_f64s = corrupt(5);
+  BinaryReader r3(short_f64s);
+  EXPECT_THROW((void)r3.read_f64_vector(), Error);
+  const auto exact_f64s = corrupt(4);
+  BinaryReader r4(exact_f64s);
+  EXPECT_EQ(r4.read_f64_vector().size(), 4u);
+}
+
 TEST(Serialize, SpecialFloats) {
   BinaryWriter w;
   w.write_f64(std::numeric_limits<double>::infinity());

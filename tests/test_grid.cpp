@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -572,6 +576,166 @@ TEST(Broker, LeastBacklogSurvivesOutageViaRequeue) {
   const CampaignResult r = broker.result();
   EXPECT_EQ(r.completed, 30u) << "redundant sites must absorb the outage";
   EXPECT_EQ(r.failed, 0u);
+}
+
+// --- site-load board: choose_site against a brute-force reference ----------------------
+
+/// The per-site selection as written before the board existed: collect the
+/// usable sites, then rotate with std::find (RoundRobin) or evaluate every
+/// usable site's exact load (LeastBacklog).
+SiteId reference_choose(std::span<const SiteLoad> board, BrokerPolicy policy,
+                        const SiteRequest& r, std::size_t& cursor) {
+  std::vector<SiteId> usable;
+  for (SiteId id = 0; id < static_cast<SiteId>(board.size()); ++id) {
+    const SiteLoad& s = board[id];
+    if (id == r.exclude) continue;
+    if (r.now < s.outage_until) continue;
+    if (!s.grid_enabled) continue;
+    if (r.processors > s.processors) continue;
+    if (r.grid != kAnyGrid && s.grid != r.grid) continue;
+    if (r.only != kAnySite && id != r.only) continue;
+    usable.push_back(id);
+  }
+  if (usable.empty()) return kNoSite;
+  if (policy == BrokerPolicy::SingleSite) return usable.front();
+  if (policy == BrokerPolicy::RoundRobin) {
+    for (std::size_t k = 0; k < board.size(); ++k) {
+      const auto candidate = static_cast<SiteId>((cursor + k) % board.size());
+      if (std::find(usable.begin(), usable.end(), candidate) == usable.end()) continue;
+      cursor = (cursor + k + 1) % board.size();
+      return candidate;
+    }
+    return kNoSite;
+  }
+  SiteId best = kNoSite;
+  double best_load = std::numeric_limits<double>::infinity();
+  for (const SiteId id : usable) {
+    const SiteLoad& s = board[id];
+    const double running_work = s.running_end_work - r.now * s.running_procs;
+    const double backlog = (s.queued_work + std::max(0.0, running_work)) / s.processors;
+    const double load = (backlog + r.runtime_hours * r.processors / s.processors) / s.speed;
+    if (load < best_load) {
+      best_load = load;
+      best = id;
+    }
+  }
+  return best;
+}
+
+/// A random board built to land on the selection's edge cases. Half the
+/// boards are tie boards: every site holds the same work per unit of
+/// capacity, W × P × S, with (P, S) drawn from pairs whose product is 192
+/// as a real number, so all loads are equal as real numbers but round
+/// differently per pair — the case where a pre-filter without its error
+/// slack skips a site whose exact load is lower. On top of that: identical
+/// sites, loads one ulp apart, negative-drift queued work, running work
+/// just behind now, outages ending exactly now, and grid-disabled or
+/// too-small sites.
+std::vector<SiteLoad> random_board(Rng& rng, double now) {
+  struct Pair {
+    int processors;
+    double speed;
+  };
+  static const Pair kPairs[] = {{96, 2.0},  {128, 1.5}, {192, 1.0}, {256, 0.75}, {384, 0.5},
+                                {160, 1.2}, {240, 0.8}, {120, 1.6}, {80, 2.4},   {320, 0.6}};
+  const bool tie_board = rng.uniform() < 0.5;
+  const double shared_work = rng.uniform(0.0, 10.0);
+  const std::size_t n = 1 + rng.uniform_index(24);
+  std::vector<SiteLoad> board;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!board.empty() && rng.uniform() < 0.15) {  // an identical site
+      board.push_back(board[rng.uniform_index(board.size())]);
+      continue;
+    }
+    SiteLoad s;
+    const Pair pair = kPairs[rng.uniform_index(10)];
+    s.processors = rng.uniform() < 0.05 ? 4 : pair.processors;
+    s.speed = tie_board || rng.uniform() < 0.5 ? pair.speed : kPairs[rng.uniform_index(10)].speed;
+    s.inv_capacity = 1.0 / (s.processors * s.speed);
+    s.grid = static_cast<GridId>(rng.uniform_index(3));
+    s.grid_enabled = rng.uniform() > 0.05;
+    const double u = rng.uniform();
+    s.outage_until = u < 0.05 ? now : u < 0.1 ? now + 1.0 : u < 0.15 ? now - 1.0 : -1.0;
+    const double q = rng.uniform();
+    if (q < 0.1) {
+      s.queued_work = -1e-13 * static_cast<double>(1 + rng.uniform_index(100));  // drift
+    } else if (tie_board) {
+      s.queued_work = shared_work * (s.processors * s.speed);
+    } else if (q < 0.3) {
+      s.queued_work = 0.0;
+    } else {
+      s.queued_work = rng.uniform(0.0, 5000.0);
+    }
+    if (!tie_board && rng.uniform() < 0.3) {
+      s.running_procs =
+          static_cast<int>(rng.uniform_index(static_cast<std::uint64_t>(s.processors)));
+      const double ahead = rng.uniform() < 0.2 ? -1e-12 : rng.uniform(0.0, 10.0);
+      s.running_end_work = s.running_procs * (now + ahead);
+    }
+    board.push_back(s);
+  }
+  // Near-ties: a copy of the first site with its queued work one ulp off.
+  if (board.size() > 1 && rng.uniform() < 0.2) {
+    SiteLoad& s = board[rng.uniform_index(board.size())];
+    s = board[0];
+    s.queued_work = std::nextafter(s.queued_work, rng.uniform() < 0.5 ? -1e300 : 1e300);
+  }
+  return board;
+}
+
+TEST(SiteBoard, ChooseSiteMatchesBruteForceReferenceForEveryPolicy) {
+  Rng rng(0x626f617264ULL);
+  constexpr int kBoards = 12000;
+  std::size_t least_backlog_placements = 0;
+  for (int b = 0; b < kBoards; ++b) {
+    const double now = rng.uniform() < 0.5 ? 0.0 : rng.uniform(0.0, 100.0);
+    const std::vector<SiteLoad> board = random_board(rng, now);
+    std::size_t cursor = rng.uniform_index(board.size());
+    std::size_t reference_cursor = cursor;
+    // A few requests per board so RoundRobin's cursor carries over.
+    for (int q = 0; q < 4; ++q) {
+      SiteRequest r;
+      r.processors = rng.uniform() < 0.05 ? 600 : 1 + static_cast<int>(rng.uniform_index(32));
+      r.runtime_hours = rng.uniform() < 0.2 ? 0.0 : rng.uniform(0.0, 5.0);
+      r.now = now;
+      const double e = rng.uniform();
+      r.exclude = e < 0.3 ? static_cast<SiteId>(rng.uniform_index(board.size())) : kNoSite;
+      r.grid = rng.uniform() < 0.3 ? static_cast<GridId>(rng.uniform_index(4)) - 1 : kAnyGrid;
+      for (const BrokerPolicy policy :
+           {BrokerPolicy::LeastBacklog, BrokerPolicy::RoundRobin, BrokerPolicy::SingleSite}) {
+        SiteRequest asked = r;
+        if (policy == BrokerPolicy::SingleSite) {
+          asked.only = rng.uniform() < 0.1 ? kNoSite
+                                           : static_cast<SiteId>(rng.uniform_index(board.size()));
+        }
+        const SiteId expected = reference_choose(board, policy, asked, reference_cursor);
+        const SiteId got = choose_site(board, policy, asked, cursor);
+        ASSERT_EQ(got, expected) << "board " << b << " request " << q << " policy "
+                                 << static_cast<int>(policy);
+        ASSERT_EQ(cursor, reference_cursor) << "board " << b;
+        if (policy == BrokerPolicy::LeastBacklog && got != kNoSite) ++least_backlog_placements;
+      }
+    }
+  }
+  // The boards must actually exercise placement, not just the empty case.
+  EXPECT_GT(least_backlog_placements, static_cast<std::size_t>(kBoards));
+}
+
+TEST(SiteBoard, FeasibleSomewhereIgnoresOutagesAndExclusion) {
+  std::vector<SiteLoad> board(2);
+  for (SiteLoad& s : board) {
+    s.processors = 128;
+    s.inv_capacity = 1.0 / 128.0;
+    s.grid = 0;
+    s.outage_until = std::numeric_limits<double>::infinity();
+  }
+  board[1].grid_enabled = false;
+  const SiteRequest r{.processors = 64, .now = 5.0, .exclude = 0};
+  std::size_t cursor = 0;
+  EXPECT_EQ(choose_site(board, BrokerPolicy::LeastBacklog, r, cursor), kNoSite);
+  EXPECT_TRUE(feasible_somewhere(board, r));
+  EXPECT_FALSE(feasible_somewhere(board, SiteRequest{.processors = 256}));
+  EXPECT_FALSE(feasible_somewhere(board, SiteRequest{.processors = 64, .grid = 1}));
 }
 
 // --- fault tolerance: retries, held jobs, checkpoint credit ------------------------------

@@ -18,9 +18,11 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/json.hpp"
@@ -207,6 +209,64 @@ TEST(SnapshotExporter, ExactTotalsAcrossConcurrentWriter) {
   EXPECT_NE(prom.find("test_exporter_work 200000"), std::string::npos);
 
   std::remove(config.prometheus_path.c_str());
+  std::remove(config.jsonl_path.c_str());
+}
+
+/// Every "name":delta pair of a record's "counters" object.
+std::vector<std::pair<std::string, long long>> counter_deltas(const std::string& line) {
+  std::vector<std::pair<std::string, long long>> out;
+  const std::string open = "\"counters\":{";
+  std::size_t pos = line.find(open);
+  if (pos == std::string::npos) return out;
+  pos += open.size();
+  while (pos < line.size() && line[pos] == '"') {
+    const std::size_t name_end = line.find('"', pos + 1);
+    const std::string name = line.substr(pos + 1, name_end - pos - 1);
+    std::size_t value_end = 0;
+    const long long delta = std::stoll(line.substr(name_end + 2), &value_end);
+    out.emplace_back(name, delta);
+    pos = name_end + 2 + value_end;
+    if (line[pos] == ',') ++pos;
+  }
+  return out;
+}
+
+// The exporter's own counters included: a self-sample counts itself
+// before it samples the registry, so once stop() has taken the final
+// self-sample, the deltas of EVERY counter sum to the registry's value.
+TEST(SnapshotExporter, EveryCounterReconcilesIncludingItsOwn) {
+  ObsGuard guard(/*metrics=*/true);
+  obs::MetricsRegistry registry;
+  obs::Counter& work = registry.counter("test.exporter.work");
+
+  obs::ExporterConfig config;
+  config.jsonl_path = "test_obs_export_all.jsonl";
+  config.period_s = 0.005;
+  obs::SnapshotExporter exporter(config, registry);
+  EXPECT_FALSE(exporter.publish(registry.snapshot()));  // counted as dropped
+  exporter.start();
+  for (int i = 0; i < 4000; ++i) {
+    work.add(1);
+    if (i % 1000 == 0) {
+      EXPECT_TRUE(exporter.publish(registry.snapshot()));
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
+  exporter.stop();
+
+  std::map<std::string, long long> sums;
+  for (const auto& line : read_lines(config.jsonl_path)) {
+    ASSERT_TRUE(json_is_valid(line)) << line;
+    for (const auto& [name, delta] : counter_deltas(line)) sums[name] += delta;
+  }
+  const obs::MetricsSnapshot final_snapshot = registry.snapshot();
+  EXPECT_GE(final_snapshot.counter_value("obs.export.snapshots"), 5u);
+  EXPECT_EQ(final_snapshot.counter_value("obs.export.dropped"), 1u);
+  for (const auto& counter : final_snapshot.counters) {
+    EXPECT_EQ(sums[counter.name], static_cast<long long>(counter.value)) << counter.name;
+  }
+  EXPECT_EQ(sums.size(), final_snapshot.counters.size());
+
   std::remove(config.jsonl_path.c_str());
 }
 

@@ -224,6 +224,30 @@ TEST(FlightRecorder, ConcurrentWritersAndDrainerStayCoherent) {
             static_cast<std::size_t>(kWriters) * (recorder.capacity() - 1));
 }
 
+// Short-lived threads hand their ids, and so their rings, to later
+// threads: 300 threads started one after another must neither run the
+// ring table dry (the 257th thread would record nothing) nor keep one
+// 64-event ring each.
+TEST(FlightRecorder, ExitedThreadsHandTheirRingsOn) {
+  obs::set_recorder_enabled(true);
+  obs::FlightRecorder recorder(64);
+  constexpr int kThreads = 300;
+  for (int t = 0; t < kThreads; ++t) {
+    std::thread([&recorder, t] {
+      recorder.record_at(obs::RecordKind::Mark, t + 1 == kThreads ? "last" : "short",
+                         static_cast<double>(t), static_cast<double>(t), {});
+    }).join();
+  }
+  EXPECT_EQ(recorder.recorded_count(), static_cast<std::uint64_t>(kThreads));
+  EXPECT_LE(recorder.active_threads(), 16u);
+  const auto events = recorder.drain();
+  const auto last = std::find_if(events.begin(), events.end(), [](const auto& e) {
+    return std::string(e.name) == "last";
+  });
+  ASSERT_NE(last, events.end());
+  EXPECT_DOUBLE_EQ(last->value, kThreads - 1.0);
+}
+
 // --- Tracer context stamping + drop policies ------------------------------
 
 TEST(TracerContext, PushStampsCurrentContext) {
